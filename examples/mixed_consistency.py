@@ -51,28 +51,23 @@ def main() -> None:
     for policy in policies:
         router.add_policy(policy)
 
-    # The bindings speak the typed read protocol (repro.core.readpath):
-    # the router hands each read a ReadRequest built from the policy
-    # table, and the scheme answers with a stamped ReadResult — the
-    # group routes STRONG to the master and weaker levels to a slave.
+    # The bindings speak the read protocol (repro.core.readpath): the
+    # router hands each read a ReadRequest built from the policy table,
+    # and the scheme answers with a stamped ReadResult — the group
+    # routes STRONG to the master and weaker levels to a slave.
     router.bind(ConsistencyLevel.STRONG, SchemeBinding(
         write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-        read=lambda etype, key, request: group.read(etype, key, request=request),
-        reads_typed=True,
+        read=group.read,
         describe="master reads/writes (unapologetic, 3.1)",
     ))
     router.bind(ConsistencyLevel.BOUNDED_STALENESS, SchemeBinding(
         write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-        read=lambda etype, key, request: group.read(etype, key, request=request),
-        reads_typed=True,
+        read=group.read,
         describe="master writes, slave reads (may apologise)",
     ))
     router.bind(ConsistencyLevel.EXTRACT, SchemeBinding(
         write=lambda *args: (_ for _ in ()).throw(RuntimeError("read-only")),
-        read=lambda etype, key, request: warehouse.read(
-            etype, key, request=request
-        ),
-        reads_typed=True,
+        read=warehouse.read,
         describe="periodic OLTP extract (read-only)",
     ))
 
@@ -92,20 +87,20 @@ def main() -> None:
     group.write_insert("sales_report", "today", {"revenue": 60})
 
     print("\nimmediately after the writes:")
-    print(f"   STRONG  stock read : {router.read('book_stock', 'moby').fields}")
-    print(f"   BOUNDED order read : {router.read('book_order', 'o-1')} "
+    print(f"   STRONG  stock read : {router.read('book_stock', 'moby').value.fields}")
+    print(f"   BOUNDED order read : {router.read('book_order', 'o-1').value} "
           "(slave hasn't received it yet)")
-    print(f"   EXTRACT report read: {router.read('sales_report', 'today')} "
+    print(f"   EXTRACT report read: {router.read('sales_report', 'today').value} "
           "(no extract taken yet)")
 
     sim.run(until=15.0)
     print(f"\nafter one shipping interval (t={sim.now:.0f}):")
-    print(f"   BOUNDED order read : {router.read('book_order', 'o-1').fields}")
+    print(f"   BOUNDED order read : {router.read('book_order', 'o-1').value.fields}")
     print(f"   slave lag: {group.slave_lag_events('slave-1')} events")
 
     sim.run(until=35.0)
     print(f"\nafter the first warehouse extract (t={sim.now:.0f}):")
-    print(f"   EXTRACT report read: {router.read('sales_report', 'today').fields}")
+    print(f"   EXTRACT report read: {router.read('sales_report', 'today').value.fields}")
     print(f"   extract staleness  : {warehouse.staleness:.0f} time units "
           "(bounded by the interval)")
 

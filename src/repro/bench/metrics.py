@@ -1,112 +1,13 @@
 """Measurement utilities for the experiment suite.
 
-Latency percentiles, throughput windows and staleness probes — the
-numbers the paper's prose claims are about (response time, availability,
-apology rates, convergence time).
+Throughput windows and availability probes — the numbers the paper's
+prose claims are about (availability, throughput).  Latency
+percentiles are recorded in :class:`repro.obs.metrics.Histogram`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
-
-from repro.obs.metrics import percentile_of
-
-
-class LatencyRecorder:
-    """Collects latency samples and reports percentiles.
-
-    Percentile math is :func:`repro.obs.metrics.percentile_of` — the
-    one nearest-rank implementation shared with the observability
-    histograms, so a benchmark table and a metrics report computed over
-    the same samples can never disagree.
-
-    Example:
-        >>> recorder = LatencyRecorder()
-        >>> for value in [1.0, 2.0, 3.0, 4.0]:
-        ...     recorder.record(value)
-        >>> recorder.percentile(50)
-        2.0
-        >>> recorder.mean
-        2.5
-    """
-
-    def __init__(self, name: str = "latency"):
-        self.name = name
-        self._samples: list[float] = []
-        self._sorted: Optional[list[float]] = None
-
-    def record(self, value: float) -> None:
-        """Add one sample."""
-        self._samples.append(value)
-        self._sorted = None
-
-    def merge(self, other: "LatencyRecorder") -> None:
-        """Fold another recorder's samples into this one."""
-        self._samples.extend(other._samples)
-        self._sorted = None
-
-    @classmethod
-    def merged(
-        cls, recorders: Iterable["LatencyRecorder"], name: str = "merged"
-    ) -> "LatencyRecorder":
-        """A new recorder holding every sample of ``recorders`` (e.g.
-        per-node recorders combined into one cluster-wide summary)."""
-        result = cls(name=name)
-        for recorder in recorders:
-            result.merge(recorder)
-        return result
-
-    @property
-    def count(self) -> int:
-        """Number of samples."""
-        return len(self._samples)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean (0 when empty)."""
-        if not self._samples:
-            return 0.0
-        return sum(self._samples) / len(self._samples)
-
-    @property
-    def maximum(self) -> float:
-        """Largest sample (0 when empty)."""
-        return max(self._samples) if self._samples else 0.0
-
-    def percentile(self, pct: float) -> float:
-        """The ``pct``-th percentile (nearest-rank, 0 when empty)."""
-        if not 0 <= pct <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
-        return percentile_of(self._sorted, pct)
-
-    @property
-    def p50(self) -> float:
-        """Median."""
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> float:
-        """95th percentile."""
-        return self.percentile(95)
-
-    @property
-    def p99(self) -> float:
-        """99th percentile."""
-        return self.percentile(99)
-
-    def summary(self) -> dict[str, float]:
-        """``{count, mean, p50, p95, p99, max}`` for table rows."""
-        return {
-            "count": float(self.count),
-            "mean": self.mean,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "max": self.maximum,
-        }
 
 
 @dataclass

@@ -144,39 +144,37 @@ class Cluster:
         entity_type: str,
         entity_key: str,
         *,
-        request: Any = None,
+        request: Any,
         site: Optional[str] = None,
-    ) -> Optional[Any]:
-        """Canonical read against the cluster's primary read surface.
+    ) -> Any:
+        """The read protocol (:mod:`repro.core.readpath`) against the
+        cluster's primary read surface.
 
-        With a typed ``request`` (:class:`~repro.core.readpath.ReadRequest`)
-        the read goes through the front door when one was built
-        (``with_front_door``) — admission, backpressure, breakers and
-        the degrade ladder all apply, and the answer is a
+        ``request`` (a :class:`~repro.core.readpath.ReadRequest`) goes
+        through the front door when one was built (``with_front_door``)
+        — admission, backpressure, breakers and the degrade ladder all
+        apply — and straight to the replication scheme (or the
+        standalone store) otherwise.  The answer is a
         :class:`~repro.core.readpath.ReadResult` stamped with the
         delivered consistency, measured staleness, and — on a
-        geo-replicated cluster — the site that served it.  Without a
-        front door the typed read goes straight to the replication
-        scheme (or the standalone store).  The bare legacy call returns
-        the raw state.
+        geo-replicated cluster — the site that served it; the entity
+        state is its ``value``.
 
         Args:
             site: On a geo cluster, the datacenter the caller is in;
                 reads prefer replicas local to it.  Ignored (and
                 rejected when the cluster has no topology) otherwise.
         """
-        from repro.core.readpath import read_from
-
         if site is not None and self.placement is None:
             raise ValueError("site= requires a geo cluster (with_topology)")
-        if request is not None and self.front_door is not None:
+        if self.front_door is not None:
             return self.front_door.read(entity_type, entity_key, request=request)
         surface = self.replication if self.replication is not None else self.store
         if surface is None:
             raise RuntimeError("cluster has no readable surface")
         if site is not None:
             return surface.read(entity_type, entity_key, request=request, site=site)
-        return read_from(surface, entity_type, entity_key, request=request)
+        return surface.read(entity_type, entity_key, request=request)
 
     # ------------------------------------------------------------------ #
     # Elasticity (ring membership changes)

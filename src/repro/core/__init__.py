@@ -67,8 +67,6 @@ from repro.core.readpath import (
     ConsistencyUnavailable,
     ReadRequest,
     ReadResult,
-    ReadSurface,
-    read_from,
 )
 from repro.core.process import JoinContext, ProcessEngine, ProcessStep, StepContext
 from repro.core.transaction import (
@@ -124,8 +122,6 @@ __all__ = [
     "ConsistencyUnavailable",
     "ReadRequest",
     "ReadResult",
-    "ReadSurface",
-    "read_from",
     "JoinContext",
     "ProcessEngine",
     "ProcessStep",

@@ -72,21 +72,17 @@ class SchemeBinding:
 
     Attributes:
         write: ``(entity_type, *args, **kwargs)`` write handler.
-        read: ``(entity_type, entity_key)`` read handler.  When
-            ``reads_typed`` is set, the router instead calls
-            ``read(entity_type, entity_key, request=ReadRequest(...))``
-            and expects a :class:`~repro.core.readpath.ReadResult`
-            stamped with delivered level and staleness back.
+        read: ``(entity_type, entity_key, *, request)`` read handler on
+            the read protocol (:mod:`repro.core.readpath`): it receives
+            a :class:`~repro.core.readpath.ReadRequest` and returns a
+            :class:`~repro.core.readpath.ReadResult` stamped with the
+            delivered level and staleness.
         describe: Human-readable scheme description for reports.
-        reads_typed: Whether ``read`` speaks the typed
-            request/result protocol.  Defaults ``False`` so existing
-            lambda bindings keep their exact call shape.
     """
 
     write: Callable[..., Any]
     read: Callable[..., Any]
     describe: str = ""
-    reads_typed: bool = False
 
 
 class PolicyRouter:
@@ -109,13 +105,8 @@ class PolicyRouter:
         'eventual-write'
     """
 
-    def __init__(
-        self,
-        default_level: Optional[ConsistencyLevel] = None,
-        metrics: Any = None,
-    ):
+    def __init__(self, default_level: Optional[ConsistencyLevel] = None):
         self.default_level = default_level
-        self.metrics = metrics
         self._policies: dict[str, ConsistencyPolicy] = {}
         self._bindings: dict[ConsistencyLevel, SchemeBinding] = {}
         self.routed: dict[ConsistencyLevel, int] = {}
@@ -170,48 +161,29 @@ class PolicyRouter:
         """Route a write through the data class's scheme."""
         return self._binding_for(entity_type).write(entity_type, *args, **kwargs)
 
-    def read(self, entity_type: str, *args: Any, **kwargs: Any) -> Any:
+    def read(
+        self, entity_type: str, entity_key: str, *, request: Any = None
+    ) -> Any:
         """Route a read through the data class's scheme.
 
-        For a binding on the typed protocol (``reads_typed=True``) the
-        router builds the :class:`~repro.core.readpath.ReadRequest`
+        The router builds the :class:`~repro.core.readpath.ReadRequest`
         from the entity type's policy metadata — level *and*
-        ``max_staleness`` — unless the caller passed ``request=``
-        explicitly.  The declared bound is therefore enforced on every
-        routed read, including the EVENTUAL/EXTRACT paths that
-        historically ignored it; violations increment
-        ``read.staleness_violations`` on :attr:`metrics`.
+        ``max_staleness`` — unless the caller passes ``request``.  The
+        declared bound is therefore enforced on every routed read,
+        including the EVENTUAL/EXTRACT paths that historically ignored
+        it: the bound surface's :func:`~repro.core.readpath.deliver`
+        stamps ``bound_violated`` and counts
+        ``read.staleness_violations``.
         """
         policy = self.policy_for(entity_type)
         binding = self._binding_for(entity_type)
-        if not binding.reads_typed:
-            return binding.read(entity_type, *args, **kwargs)
-        from repro.core.readpath import ReadRequest, ReadResult
-
-        request = kwargs.pop("request", None)
         if request is None:
+            from repro.core.readpath import ReadRequest
+
             request = ReadRequest(
                 level=policy.level, max_staleness=policy.max_staleness
             )
-        result = binding.read(entity_type, *args, request=request, **kwargs)
-        if (
-            isinstance(result, ReadResult)
-            and self.metrics is not None
-            and not result.bound_violated
-            and request.max_staleness is not None
-            and result.staleness is not None
-            and result.staleness > request.max_staleness
-        ):
-            result.bound_violated = True
-            self.metrics.counter(
-                "read.staleness_violations",
-                level=(
-                    result.delivered_level.value
-                    if result.delivered_level
-                    else "unknown"
-                ),
-            ).inc()
-        return result
+        return binding.read(entity_type, entity_key, request=request)
 
     def policies(self) -> list[ConsistencyPolicy]:
         """All registered policies (the metadata table, for reports)."""

@@ -1,50 +1,40 @@
-"""The unified read protocol, now typed.
+"""The read protocol: one typed form on every surface.
 
-Historically each surface grew its own read-path name: stores exposed
-``get``/``require``, replication groups exposed positional ``read``
-variants keyed by node id, warehouses exposed ``get`` over extracts,
-indexes exposed ``lookup``.  Call sites could not swap one surface for
-another without rewriting every read.
+Every read surface in the library — :class:`~repro.lsdb.store.LSDBStore`,
+:class:`~repro.lsdb.readcache.ReadCache`, the warehouse extract, the six
+replication schemes, the front door and
+:class:`~repro.cluster.Cluster` — answers exactly one call::
 
-The canonical protocol, implemented by every surface in the library::
-
-    surface.read(entity_type, entity_key)                      # legacy
     surface.read(entity_type, entity_key, request=ReadRequest(...))
 
 * ``entity_type`` / ``entity_key`` name the entity, exactly as in the
   entity catalog.
-* ``request`` is a :class:`ReadRequest` carrying everything the caller
-  wants the read path to honour: the requested
-  :class:`~repro.core.consistency.ConsistencyLevel`, a tolerated
-  staleness bound, a deadline, the requesting tenant, and whether the
-  caller accepts a degraded (weaker-than-requested) answer.
-* With a ``request``, the surface returns a :class:`ReadResult` stamped
-  with the consistency *actually delivered* and the staleness it
-  measured while serving — delivered-vs-requested is first-class, which
-  is what lets the front door degrade reads honestly instead of lying
-  about them (paper sections 2.3/2.9: serve and apologize rather than
-  block).
-* Without a ``request`` the legacy behaviour is unchanged: the raw
-  :class:`~repro.lsdb.rollup.EntityState` (or ``None``) comes back.
+* ``request`` is keyword-only and required: a :class:`ReadRequest`
+  carrying everything the caller wants the read path to honour — the
+  requested :class:`~repro.core.consistency.ConsistencyLevel`, a
+  tolerated staleness bound, a deadline, the requesting tenant, and
+  whether the caller accepts a degraded (weaker-than-requested) answer.
+* The answer is always a :class:`ReadResult` stamped with the
+  consistency *actually delivered* and the staleness measured while
+  serving — delivered-vs-requested is first-class, which is what lets
+  the front door degrade reads honestly instead of lying about them
+  (paper sections 2.3/2.9: serve and apologize rather than block).
+  The entity state itself is ``result.value``.
 
-The loose ``consistency`` keyword argument that predated the typed
-protocol completed its one-cycle deprecation and is gone; passing it
-now raises ``TypeError`` like any unknown keyword.  ``store.get(...)``
-/ ``warehouse.get(...)`` and the three-positional
-``group.read(node_id, entity_type, entity_key)`` forms are unaffected
-aliases, not scheduled for removal.
+Code that wants one node's raw state, with no consistency contract,
+asks that node's store: ``node.store.get(entity_type, entity_key)``.
+A store's ``get`` is the state accessor, not a read surface.
 
-:func:`read_from` is the dispatch helper for code that receives an
-arbitrary surface (the policy router, the front door, experiment
-harnesses).  It is also where :class:`ConsistencyPolicy.max_staleness`
-is finally enforced: a delivered staleness above the declared bound
-marks the result and increments ``read.staleness_violations``.
+:func:`deliver` is the one place a served read is stamped; it is also
+where :class:`ConsistencyPolicy.max_staleness` is enforced: a delivered
+staleness above the declared bound marks the result ``bound_violated``
+and increments ``read.staleness_violations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Protocol, runtime_checkable
+from typing import Any, Optional
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.policy import Deadline
@@ -140,11 +130,8 @@ class ReadResult:
     geo deployment, which site) served it, and — when the front door had
     to apologize — the apology token.
 
-    The wrapper *unwraps transparently*: it compares equal to its
-    value, is falsy when the value is ``None`` (or the read was
-    rejected), and forwards attribute access to the value, so seed-era
-    call sites reading ``result.fields["qty"]`` or ``result == state``
-    keep working unchanged.
+    The entity state is :attr:`value`.  A result is falsy when there
+    is no value (or the read was rejected).
     """
 
     __slots__ = (
@@ -188,14 +175,6 @@ class ReadResult:
         self.bound_violated = bound_violated
         self.apology = apology
 
-    # ------------------------------------------------------------------ #
-    # Transparent unwrap
-    # ------------------------------------------------------------------ #
-
-    def unwrap(self) -> Any:
-        """The raw entity state (or ``None``)."""
-        return self.value
-
     @property
     def ok(self) -> bool:
         """Served (possibly degraded) rather than rejected."""
@@ -203,24 +182,6 @@ class ReadResult:
 
     def __bool__(self) -> bool:
         return self.value is not None and not self.rejected
-
-    def __eq__(self, other: Any) -> bool:
-        if isinstance(other, ReadResult):
-            return self.value == other.value
-        return self.value == other
-
-    # EntityState itself is unhashable (mutable dataclass); mirror that.
-    __hash__ = None  # type: ignore[assignment]
-
-    def __getattr__(self, name: str) -> Any:
-        # Only called for names not in __slots__: forward to the value
-        # so ``result.fields`` / ``result.live`` read like the state.
-        value = object.__getattribute__(self, "value")
-        if value is None:
-            raise AttributeError(
-                f"ReadResult has no attribute {name!r} (value is None)"
-            )
-        return getattr(value, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         delivered = self.delivered_level.value if self.delivered_level else None
@@ -287,94 +248,3 @@ def deliver(
                 "read.staleness_violations", level=delivered_level.value
             ).inc()
     return result
-
-
-@runtime_checkable
-class ReadSurface(Protocol):
-    """Anything that can answer a canonical read."""
-
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request: Optional[ReadRequest] = None,
-    ) -> Optional[Any]:
-        """Current state of one entity; a :class:`ReadResult` when a
-        typed request is passed, the raw state otherwise."""
-        ...
-
-
-def read_from(
-    surface: Any,
-    entity_type: str,
-    entity_key: str,
-    *,
-    request: Optional[ReadRequest] = None,
-    policy: Any = None,
-    metrics: Any = None,
-) -> Any:
-    """Read from any surface, old or new.
-
-    Prefers the canonical ``read`` protocol; falls back to a bare
-    ``get`` for objects predating it.  With a typed ``request`` the
-    answer is a :class:`ReadResult`; surfaces that predate the typed
-    protocol get wrapped with an honest "staleness unknown" stamp.
-
-    ``policy`` (a :class:`~repro.core.consistency.ConsistencyPolicy`)
-    fills in the request's level and staleness bound when the caller
-    has only metadata — this is how the policy router finally enforces
-    ``max_staleness`` on EVENTUAL/EXTRACT paths.
-    """
-    if request is None and policy is not None:
-        request = ReadRequest(
-            level=policy.level, max_staleness=policy.max_staleness
-        )
-    elif request is not None and policy is not None:
-        if request.max_staleness is None and policy.max_staleness is not None:
-            request = ReadRequest(
-                level=request.level,
-                max_staleness=policy.max_staleness,
-                deadline=request.deadline,
-                tenant=request.tenant,
-                allow_degraded=request.allow_degraded,
-            )
-
-    reader = getattr(surface, "read", None)
-    if request is None:
-        if reader is not None:
-            return reader(entity_type, entity_key)
-        return surface.get(entity_type, entity_key)
-
-    if reader is not None:
-        try:
-            result = reader(entity_type, entity_key, request=request)
-        except TypeError:
-            # Pre-typed surface: serve legacy, wrap with unknown staleness.
-            value = reader(entity_type, entity_key)
-            result = deliver(
-                value, request, request.level, staleness=None, metrics=metrics
-            )
-        if isinstance(result, ReadResult):
-            # Re-check the bound here for surfaces that stamped staleness
-            # but had no registry of their own to count violations in.
-            if (
-                metrics is not None
-                and not result.bound_violated
-                and request.max_staleness is not None
-                and result.staleness is not None
-                and result.staleness > request.max_staleness
-            ):
-                result.bound_violated = True
-                metrics.counter(
-                    "read.staleness_violations",
-                    level=(
-                        result.delivered_level.value
-                        if result.delivered_level
-                        else "unknown"
-                    ),
-                ).inc()
-            return result
-        return deliver(result, request, request.level, staleness=None, metrics=metrics)
-    value = surface.get(entity_type, entity_key)
-    return deliver(value, request, request.level, staleness=None, metrics=metrics)

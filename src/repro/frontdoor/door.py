@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.consistency import ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadResult
+from repro.core.readpath import ReadRequest, ReadResult, is_weaker
 from repro.frontdoor.admission import AdmissionController, TenantQuota, TokenBucket
 from repro.frontdoor.backpressure import BackpressureMonitor
 from repro.frontdoor.breaker import BreakerBoard
@@ -83,17 +83,12 @@ class FrontDoor:
     # ------------------------------------------------------------------ #
 
     def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request: Optional[ReadRequest] = None,
+        self, entity_type: str, entity_key: str, *, request: ReadRequest
     ) -> ReadResult:
-        """Serve one read through the valve chain; always returns a
-        :class:`ReadResult` (rejections come back with
-        ``rejected=True`` and a reason, never as exceptions)."""
-        if request is None:
-            request = ReadRequest()
+        """The read protocol (:mod:`repro.core.readpath`) through the
+        valve chain; always returns a :class:`ReadResult` (rejections
+        come back with ``rejected=True`` and a reason, never as
+        exceptions)."""
         self.reads += 1
         span = (
             self.tracer.start_span(
@@ -355,6 +350,33 @@ class FrontDoor:
 # ---------------------------------------------------------------------- #
 
 
+def _restamp(
+    result: ReadResult,
+    request: ReadRequest,
+    delivered: ConsistencyLevel,
+    *,
+    served_by: Optional[str] = None,
+) -> ReadResult:
+    """Re-anchor a rung's answer to the outer request.
+
+    A rung reads its surface with a request of its own level; the door
+    answers the caller's request, so the result is rebuilt as delivered
+    at ``delivered`` and ``degraded`` only when that is weaker than what
+    the caller asked for (serving stronger than asked is never a
+    downgrade).  Staleness, server and site carry over from the rung's
+    answer; ``served_by`` overrides the server name.
+    """
+    return ReadResult(
+        result.value,
+        requested_level=request.level,
+        delivered_level=delivered,
+        staleness=result.staleness,
+        degraded=is_weaker(delivered, request.level),
+        served_by=result.served_by if served_by is None else served_by,
+        site=result.site,
+    )
+
+
 def _is_geo(scheme) -> bool:
     """Whether the scheme is a geo-replicated group (site placement plus
     per-site WAN gateways)."""
@@ -396,13 +418,7 @@ def _flat_rungs(
                 tenant=request.tenant,
             ),
         )
-        return ReadResult(
-            result.unwrap() if isinstance(result, ReadResult) else result,
-            requested_level=request.level,
-            delivered_level=ConsistencyLevel.STRONG,
-            staleness=result.staleness if isinstance(result, ReadResult) else 0.0,
-            served_by=result.served_by if isinstance(result, ReadResult) else "",
-        )
+        return _restamp(result, request, ConsistencyLevel.STRONG)
 
     strong_health = None
     if primary_node is not None:
@@ -437,14 +453,7 @@ def _flat_rungs(
                     tenant=request.tenant,
                 ),
             )
-            return ReadResult(
-                result.unwrap(),
-                requested_level=request.level,
-                delivered_level=ConsistencyLevel.BOUNDED_STALENESS,
-                staleness=result.staleness,
-                degraded=request.level is ConsistencyLevel.STRONG,
-                served_by=result.served_by,
-            )
+            return _restamp(result, request, ConsistencyLevel.BOUNDED_STALENESS)
 
         backup_node = _replica_node_of(scheme)
         bounded_health = None
@@ -499,8 +508,6 @@ def _geo_rungs(
     level, measured cross-DC staleness, serving site) is re-anchored to
     the outer request so degradation accounting stays truthful.
     """
-    from repro.core.readpath import is_weaker
-
     def sited_reader(level, allow_degraded):
         def reader(entity_type, entity_key, request):
             result = scheme.read(
@@ -514,16 +521,7 @@ def _geo_rungs(
                 ),
                 site=site,
             )
-            delivered = result.delivered_level
-            return ReadResult(
-                result.unwrap(),
-                requested_level=request.level,
-                delivered_level=delivered,
-                staleness=result.staleness,
-                degraded=is_weaker(delivered, request.level),
-                served_by=result.served_by,
-                site=result.site,
-            )
+            return _restamp(result, request, result.delivered_level)
 
         return reader
 
@@ -630,14 +628,8 @@ def _eventual_reader_for(cluster):
             result = warehouse.read(
                 entity_type, entity_key, request=snapshot_request
             )
-            return ReadResult(
-                result.unwrap(),
-                requested_level=request.level,
-                delivered_level=ConsistencyLevel.EVENTUAL,
-                staleness=result.staleness,
-                degraded=request.level is not ConsistencyLevel.EVENTUAL
-                and request.level is not ConsistencyLevel.EXTRACT,
-                served_by="warehouse",
+            return _restamp(
+                result, request, ConsistencyLevel.EVENTUAL, served_by="warehouse"
             )
         checkpoint = None
         manager = getattr(store, "checkpoints", None)
@@ -650,17 +642,10 @@ def _eventual_reader_for(cluster):
                 requested_level=request.level,
                 delivered_level=ConsistencyLevel.EVENTUAL,
                 staleness=max(0.0, sim.now - checkpoint.taken_at),
-                degraded=request.level is not ConsistencyLevel.EVENTUAL,
+                degraded=is_weaker(ConsistencyLevel.EVENTUAL, request.level),
                 served_by="checkpoint",
             )
         result = store.read(entity_type, entity_key, request=snapshot_request)
-        return ReadResult(
-            result.unwrap(),
-            requested_level=request.level,
-            delivered_level=ConsistencyLevel.EVENTUAL,
-            staleness=result.staleness,
-            degraded=request.level is not ConsistencyLevel.EVENTUAL,
-            served_by=result.served_by,
-        )
+        return _restamp(result, request, ConsistencyLevel.EVENTUAL)
 
     return reader

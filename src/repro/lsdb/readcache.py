@@ -291,14 +291,8 @@ class ReadCache:
         self._install(ref, frozen, self._head(ref))
         return frozen, 0.0
 
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request=None,
-    ):
-        """The unified read protocol, served through the cache.
+    def read(self, entity_type: str, entity_key: str, *, request):
+        """The read protocol, served through the cache.
 
         ``STRONG`` always revalidates (only a watermark-current entry
         counts as a hit; anything else refreshes — staleness 0 by
@@ -306,9 +300,6 @@ class ReadCache:
         within ``request.max_staleness``; ``EVENTUAL`` and weaker serve
         any cached entry, stamping its honest measured age.
         """
-        if request is None:
-            state, _ = self.lookup(entity_type, entity_key)
-            return state
         level = request.level
         if level is ConsistencyLevel.STRONG:
             state, age = self.lookup(entity_type, entity_key, revalidate=True)

@@ -747,22 +747,15 @@ class LSDBStore:
             self.coalescer.flush()
         return self._states.get((entity_type, entity_key))
 
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
+    def read(self, entity_type: str, entity_key: str, *, request):
+        """The read protocol (see :mod:`repro.core.readpath`).
 
         A single store has one copy of the data, so every consistency
         level reads the same rollup; the parameter exists so callers
         can swap a store for a replicated surface without changing call
-        sites.  With a typed ``request`` the answer is a
-        :class:`~repro.core.readpath.ReadResult` delivered at the
-        requested level with zero staleness (this *is* the copy of
-        record in an unreplicated deployment).
+        sites.  The :class:`~repro.core.readpath.ReadResult` is
+        delivered at the requested level with zero staleness (this *is*
+        the copy of record in an unreplicated deployment).
 
         With a read cache attached (:meth:`attach_read_cache`) the read
         routes through it: ``STRONG`` revalidates the watermark every
@@ -771,13 +764,10 @@ class LSDBStore:
         """
         if self.read_cache is not None:
             return self.read_cache.read(entity_type, entity_key, request=request)
-        state = self.get(entity_type, entity_key)
-        if request is None:
-            return state
         from repro.core.readpath import deliver
 
         return deliver(
-            state,
+            self.get(entity_type, entity_key),
             request,
             request.level,
             staleness=0.0,

@@ -31,10 +31,8 @@ MetricKey = tuple[str, tuple[tuple[str, str], ...]]
 def percentile_of(sorted_samples: Sequence[float], pct: float) -> float:
     """Nearest-rank percentile over pre-sorted samples (0 when empty).
 
-    This is the single percentile implementation in the library —
-    :class:`Histogram` here and
-    :class:`repro.bench.metrics.LatencyRecorder` both delegate to it,
-    so the two can never drift apart.
+    This is the single percentile implementation in the library; the
+    experiment benchmarks record latencies in a :class:`Histogram` too.
     """
     if not sorted_samples:
         return 0.0

@@ -141,38 +141,24 @@ class ActiveActiveGroup:
         self.writes_accepted += 1
         return self.sim.now
 
-    def read(self, *args: str, request=None):
-        """Subjective read — typed, canonical, or legacy form.
+    def read(self, entity_type: str, entity_key: str, *, request):
+        """Subjective read (see :mod:`repro.core.readpath`).
 
-        Typed (unified protocol): ``read(entity_type, entity_key,
-        request=ReadRequest(...))`` serves from the first replica and
-        returns a :class:`~repro.core.readpath.ReadResult` delivered at
+        Serves from the first replica and returns a
+        :class:`~repro.core.readpath.ReadResult` delivered at
         ``EVENTUAL`` at best — there is no strong copy in an
         active/active group, so a ``STRONG`` request is honestly
         stamped as degraded.  The staleness stamp is the simulator's
         omniscient view: the age of the oldest peer event the serving
-        replica has not applied yet.  Canonical two-arg and legacy
-        three-positional ``read(replica_id, entity_type, entity_key)``
-        forms return the raw state.
+        replica has not applied yet.  One replica's raw view is that
+        replica's store: ``group.replicas[id].store.get(...)``.
         """
-        if len(args) == 3:
-            replica_id, entity_type, entity_key = args
-        elif len(args) == 2:
-            entity_type, entity_key = args
-            replica_id = next(iter(self.replicas))
-        else:
-            raise TypeError(
-                "read() takes (entity_type, entity_key) or "
-                f"(replica_id, entity_type, entity_key); got {len(args)} args"
-            )
-        state = self.replicas[replica_id].store.get(entity_type, entity_key)
-        if request is None:
-            return state
         from repro.core.consistency import ConsistencyLevel
         from repro.core.readpath import LEVEL_STRENGTH, deliver
         from repro.replication.replica import staleness_behind
 
-        serving = self.replicas[replica_id]
+        replica_id, serving = next(iter(self.replicas.items()))
+        state = serving.store.get(entity_type, entity_key)
         staleness = 0.0
         for peer in self.replicas.values():
             if peer is not serving:

@@ -140,26 +140,16 @@ class AsyncPrimaryBackup:
         self.primary.store.apply_delta(entity_type, entity_key, delta, tx_id=tx_id)
         return self.sim.now
 
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
+    def read(self, entity_type: str, entity_key: str, *, request):
+        """The read protocol (see :mod:`repro.core.readpath`).
 
-        A ``STRONG`` request (and the bare legacy call) reads the
-        primary, which has every acknowledged write; weaker levels read
-        the backup, which lags by up to one shipping interval.  With a
-        typed ``request`` the answer is a
-        :class:`~repro.core.readpath.ReadResult` whose staleness is the
-        age of the oldest primary event the backup has not applied.
+        A ``STRONG`` request reads the primary, which has every
+        acknowledged write; weaker levels read the backup, which lags by
+        up to one shipping interval.  The
+        :class:`~repro.core.readpath.ReadResult`'s staleness is the age
+        of the oldest primary event the backup has not applied.
         """
         from repro.core.consistency import ConsistencyLevel
-
-        if request is None:
-            return self.primary.store.get(entity_type, entity_key)
         from repro.core.readpath import deliver, replica_level
         from repro.replication.replica import staleness_behind
 

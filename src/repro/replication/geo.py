@@ -340,7 +340,7 @@ class GeoReplicaGroup:
         entity_type: str,
         entity_key: str,
         *,
-        request=None,
+        request,
         site: Optional[str] = None,
     ):
         """Read an entity from its shard group.
@@ -355,9 +355,6 @@ class GeoReplicaGroup:
         measured cross-site staleness, which is what the front door's
         bounded rung gates on.
 
-        Without ``request`` the legacy raw-state form serves from the
-        first live hosting replica (site preference still applies).
-
         Raises:
             ConsistencyUnavailable: No live site hosts the shard, or
                 ``STRONG`` was required (``allow_degraded=False``) and
@@ -371,7 +368,7 @@ class GeoReplicaGroup:
                 f"no live site hosts shard {shard} for "
                 f"{entity_type}/{entity_key}"
             )
-        level = request.level if request is not None else ConsistencyLevel.STRONG
+        level = request.level
         home = members[0]
         strong_wanted = (
             LEVEL_STRENGTH[level] <= LEVEL_STRENGTH[ConsistencyLevel.STRONG]
@@ -379,11 +376,7 @@ class GeoReplicaGroup:
         if strong_wanted and home in live:
             serving = home
         else:
-            if (
-                strong_wanted
-                and request is not None
-                and not request.allow_degraded
-            ):
+            if strong_wanted and not request.allow_degraded:
                 raise ConsistencyUnavailable(
                     f"shard {shard} home site {home.site!r} is down and the "
                     "request forbids degradation"
@@ -394,8 +387,6 @@ class GeoReplicaGroup:
             if peer is not serving:
                 staleness = max(staleness, staleness_behind(peer, serving))
         state = serving.store.get(entity_type, entity_key)
-        if request is None:
-            return state
         if serving is home and staleness == 0.0:
             delivered = level
         else:

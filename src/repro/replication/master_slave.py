@@ -47,10 +47,11 @@ class MasterSlaveGroup:
         ...                          ship_interval=10.0,
         ...                          batching=BatchPolicy(max_batch=64))
         >>> _ = group.write_insert("stock", "book", {"copies": 5})
-        >>> group.read("slave-1", "stock", "book") is None   # not shipped yet
+        >>> slave = group.slaves["slave-1"]
+        >>> slave.store.get("stock", "book") is None   # not shipped yet
         True
         >>> _ = sim.run(until=30.0)
-        >>> group.read("slave-1", "stock", "book").fields["copies"]
+        >>> slave.store.get("stock", "book").fields["copies"]
         5
     """
 
@@ -119,67 +120,37 @@ class MasterSlaveGroup:
     # Reads: anywhere, with staleness at slaves
     # ------------------------------------------------------------------ #
 
-    def read(self, *args: str, request=None):
-        """Read an entity — typed, canonical, or legacy form.
+    def read(self, entity_type: str, entity_key: str, *, request):
+        """The read protocol (see :mod:`repro.core.readpath`).
 
-        Typed (the unified protocol, :mod:`repro.core.readpath`)::
-
-            group.read(entity_type, entity_key, request=ReadRequest(...))
-
-        routes by the requested level — ``STRONG`` to the master,
+        Routes by the requested level — ``STRONG`` to the master,
         anything weaker to the first slave — and returns a
         :class:`~repro.core.readpath.ReadResult` stamped with the
         delivered level and the slave's measured staleness (age of the
-        oldest master event the slave has not applied).
-
-        Canonical ``read(entity_type, entity_key)`` serves the master
-        and returns the raw state; the legacy three-positional form
-        ``read(node_id, entity_type, entity_key)`` addresses an
-        explicit node.
+        oldest master event the slave has not applied).  One node's raw
+        state is that node's store: ``group.slaves[id].store.get(...)``.
 
         Slave reads record their staleness (master events not yet
         applied at the serving slave) into the ``read.staleness_events``
         histogram when metrics are attached.
         """
-        if len(args) == 3:
-            node_id, entity_type, entity_key = args
-        elif len(args) == 2:
-            entity_type, entity_key = args
-            from repro.core.consistency import ConsistencyLevel
-
-            level = request.level if request is not None else None
-            if level is None or level is ConsistencyLevel.STRONG:
-                node_id = self.master.node_id
-            else:
-                node_id = next(iter(self.slaves))
-        else:
-            raise TypeError(
-                "read() takes (entity_type, entity_key) or "
-                f"(node_id, entity_type, entity_key); got {len(args)} args"
-            )
-        if node_id == self.master.node_id:
-            state = self.master.store.get(entity_type, entity_key)
-            if request is None:
-                return state
-            from repro.core.consistency import ConsistencyLevel
-            from repro.core.readpath import deliver
-
-            return deliver(
-                state,
-                request,
-                ConsistencyLevel.STRONG,
-                staleness=0.0,
-                served_by=node_id,
-                metrics=self.sim.metrics,
-            )
-        if self._h_staleness is not None:
-            self._h_staleness.record(self.slave_lag_events(node_id))
-        follower = self.slaves[node_id]
-        if request is None:
-            return follower.store.get(entity_type, entity_key)
+        from repro.core.consistency import ConsistencyLevel
         from repro.core.readpath import deliver, replica_level
         from repro.replication.replica import staleness_behind
 
+        if request.level is ConsistencyLevel.STRONG:
+            return deliver(
+                self.master.store.get(entity_type, entity_key),
+                request,
+                ConsistencyLevel.STRONG,
+                staleness=0.0,
+                served_by=self.master.node_id,
+                metrics=self.sim.metrics,
+            )
+        node_id = next(iter(self.slaves))
+        if self._h_staleness is not None:
+            self._h_staleness.record(self.slave_lag_events(node_id))
+        follower = self.slaves[node_id]
         staleness = staleness_behind(self.master, follower)
         cache = follower.store.read_cache
         if cache is not None:

@@ -352,12 +352,6 @@ class QuorumGroup:
             self._m_repairs = None
             self._m_retries = None
 
-    @property
-    def timeout(self) -> float:
-        """The per-attempt timeout (legacy name for introspection)."""
-        per_attempt = self.timeout_policy.per_attempt
-        return per_attempt if per_attempt is not None else float("inf")
-
     def write(
         self,
         entity_type: str,
@@ -382,81 +376,71 @@ class QuorumGroup:
         self,
         entity_type: str,
         entity_key: str,
-        on_done: Optional[Callable[[QuorumOutcome], None]] = None,
         *,
-        request=None,
+        request,
+        on_done: Optional[Callable[[QuorumOutcome], None]] = None,
     ):
         """Quorum read; the freshest replica value wins.
 
-        The callback form (``on_done``) starts a quorum read and
-        returns the request id, as ever.  With a typed ``request``
-        (:class:`~repro.core.readpath.ReadRequest`) the behaviour
-        depends on the requested level:
+        The read protocol (see :mod:`repro.core.readpath`); what it
+        does depends on the requested level:
 
         * ``STRONG`` starts the quorum read and returns a
           :class:`~repro.core.readpath.ReadResult` immediately; the
           result is *pending* (``delivered_level`` is ``None``) and is
           completed in place — ``value`` (the winning fields dict),
           delivered level, or a ``quorum_unavailable`` rejection — once
-          the simulator delivers the quorum.  ``on_done`` still fires.
+          the simulator delivers the quorum.  ``on_done``, when given,
+          fires with the :class:`QuorumOutcome` on completion.
         * anything weaker is the consistency downgrade: skip the quorum
           entirely and serve one replica's local state right now, with
           measured staleness.  This is the cheap rung the front door
           degrades to when the quorum is slow or unreachable.
         """
-        if request is not None:
-            from repro.core.consistency import ConsistencyLevel
-            from repro.core.readpath import ReadResult, deliver, replica_level
-            from repro.replication.replica import staleness_behind
+        from repro.core.consistency import ConsistencyLevel
+        from repro.core.readpath import ReadResult, deliver, replica_level
+        from repro.replication.replica import staleness_behind
 
-            if request.level is not ConsistencyLevel.STRONG:
-                serving = self.replicas[0]
-                state = serving.store.get(entity_type, entity_key)
-                staleness = 0.0
-                for peer in self.replicas:
-                    if peer is not serving:
-                        staleness = max(
-                            staleness, staleness_behind(peer, serving)
-                        )
-                return deliver(
-                    state,
-                    request,
-                    replica_level(request.level),
-                    staleness=staleness,
-                    served_by=serving.node_id,
-                    metrics=self.sim.metrics,
-                )
-            result = ReadResult(
-                None,
-                requested_level=request.level,
-                delivered_level=None,
-                staleness=None,
+        if request.level is not ConsistencyLevel.STRONG:
+            serving = self.replicas[0]
+            state = serving.store.get(entity_type, entity_key)
+            staleness = 0.0
+            for peer in self.replicas:
+                if peer is not serving:
+                    staleness = max(staleness, staleness_behind(peer, serving))
+            return deliver(
+                state,
+                request,
+                replica_level(request.level),
+                staleness=staleness,
+                served_by=serving.node_id,
+                metrics=self.sim.metrics,
             )
+        result = ReadResult(
+            None,
+            requested_level=request.level,
+            delivered_level=None,
+            staleness=None,
+        )
 
-            def _complete(outcome: QuorumOutcome) -> None:
-                result.value = outcome.value
-                if outcome.ok:
-                    result.delivered_level = ConsistencyLevel.STRONG
-                    result.staleness = 0.0
-                else:
-                    result.rejected = True
-                    result.reject_reason = "quorum_unavailable"
-                if on_done is not None:
-                    on_done(outcome)
+        def _complete(outcome: QuorumOutcome) -> None:
+            result.value = outcome.value
+            if outcome.ok:
+                result.delivered_level = ConsistencyLevel.STRONG
+                result.staleness = 0.0
+            else:
+                result.rejected = True
+                result.reject_reason = "quorum_unavailable"
+            if on_done is not None:
+                on_done(outcome)
 
-            self.coordinator.start(
-                "read",
-                self.read_quorum,
-                {"entity_type": entity_type, "entity_key": entity_key},
-                _complete,
-            )
-            return result
-        return self.coordinator.start(
+        self.coordinator.start(
             "read",
             self.read_quorum,
             {"entity_type": entity_type, "entity_key": entity_key},
-            on_done or (lambda _outcome: None),
+            _complete,
         )
+        return result
 
     @property
     def failure_rate(self) -> float:

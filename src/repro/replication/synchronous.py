@@ -80,10 +80,9 @@ class SyncPrimaryBackup:
             apply is idempotent, so re-shipping is safe).  Default: no
             retries, the pre-policy behaviour.
 
-    The PR 3 legacy ``ack_timeout=<seconds>`` constructor kwarg has
-    completed its deprecation cycle and was removed; pass
-    ``timeout=TimeoutPolicy(per_attempt=...)``.  The read-only
-    :attr:`ack_timeout` property remains for introspection.
+    The legacy ``ack_timeout=<seconds>`` constructor kwarg and property
+    were removed; pass ``timeout=TimeoutPolicy(per_attempt=...)`` and
+    read it back from :attr:`timeout_policy`.
     """
 
     #: The historical single-knob ack timeout.
@@ -117,12 +116,6 @@ class SyncPrimaryBackup:
         self.results: list[SyncWriteResult] = []
         self._tx_counter = itertools.count(1)
 
-    @property
-    def ack_timeout(self) -> float:
-        """The per-attempt ack timeout (legacy name for introspection)."""
-        per_attempt = self.timeout_policy.per_attempt
-        return per_attempt if per_attempt is not None else float("inf")
-
     def write_insert(
         self,
         entity_type: str,
@@ -154,27 +147,16 @@ class SyncPrimaryBackup:
         )
         return self._write(event, on_done)
 
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
+    def read(self, entity_type: str, entity_key: str, *, request):
+        """The read protocol (see :mod:`repro.core.readpath`).
 
         Both nodes hold every acknowledged write, so the level only
-        picks which copy answers: ``STRONG`` (and the bare legacy call)
-        reads the primary, weaker levels read the backup.  With a typed
-        ``request`` the answer is a
-        :class:`~repro.core.readpath.ReadResult`; the backup can still
-        be mid-flight on an unacknowledged write, so its staleness is
-        measured rather than assumed zero.
+        picks which copy answers: ``STRONG`` reads the primary, weaker
+        levels read the backup.  The backup can still be mid-flight on
+        an unacknowledged write, so its staleness is measured rather
+        than assumed zero.
         """
         from repro.core.consistency import ConsistencyLevel
-
-        if request is None:
-            return self.primary.store.get(entity_type, entity_key)
         from repro.core.readpath import deliver, replica_level
         from repro.replication.replica import staleness_behind
 

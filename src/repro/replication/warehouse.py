@@ -114,30 +114,21 @@ class WarehouseExtract:
         first extract or for unknown entities)."""
         return self._snapshot.get((entity_type, entity_key))
 
-    def read(
-        self,
-        entity_type: str,
-        entity_key: str,
-        *,
-        request=None,
-    ):
-        """The unified read protocol (see :mod:`repro.core.readpath`).
+    def read(self, entity_type: str, entity_key: str, *, request):
+        """The read protocol (see :mod:`repro.core.readpath`).
 
         A warehouse has exactly one consistency level — ``EXTRACT`` —
         so every answer comes from the last extract regardless of what
-        was requested.  With a typed ``request`` the
-        :class:`~repro.core.readpath.ReadResult` stamps ``EXTRACT`` as
-        the delivered level and the extract's measured staleness: zero
-        when the feed has drained (:attr:`lag_events` is zero, the
-        snapshot *is* current), otherwise the time since the extract
-        was taken.
+        was requested.  The :class:`~repro.core.readpath.ReadResult`
+        stamps ``EXTRACT`` as the delivered level and the extract's
+        measured staleness: zero when the feed has drained
+        (:attr:`lag_events` is zero, the snapshot *is* current),
+        otherwise the time since the extract was taken.
         """
         if self.read_cache is not None:
             state, _ = self.read_cache.lookup(entity_type, entity_key)
         else:
             state = self.get(entity_type, entity_key)
-        if request is None:
-            return state
         from repro.core.consistency import ConsistencyLevel
         from repro.core.readpath import deliver
 

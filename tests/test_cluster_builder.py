@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Cluster, ClusterBuilder, ConsistencyLevel
-from repro.core.readpath import ReadRequest, ReadSurface, read_from
+from repro.core.readpath import ReadRequest
 from repro.lsdb.store import LSDBStore
 from repro.replication import (
     ActiveActiveGroup,
@@ -29,10 +29,12 @@ class TestBuilderModes:
         assert isinstance(cluster.replication, AsyncPrimaryBackup)
         cluster.replication.write_insert("order", "o-1", {"total": 5})
         cluster.sim.run(until=30.0)
-        assert cluster.read("order", "o-1").fields["total"] == 5
+        assert cluster.read(
+            "order", "o-1", request=ReadRequest.strong()
+        ).value.fields["total"] == 5
         assert cluster.read(
             "order", "o-1", request=ReadRequest.eventual()
-        ).fields["total"] == 5
+        ).value.fields["total"] == 5
 
     def test_async_generalises_to_master_slave(self):
         cluster = Cluster.build(seed=1).with_replicas(3, mode="async").create()
@@ -44,7 +46,9 @@ class TestBuilderModes:
         assert isinstance(cluster.replication, SyncPrimaryBackup)
         cluster.replication.write_insert("order", "o-1", {"total": 2})
         cluster.sim.run(until=50.0)
-        assert cluster.read("order", "o-1").fields["total"] == 2
+        assert cluster.read(
+            "order", "o-1", request=ReadRequest.strong()
+        ).value.fields["total"] == 2
 
     def test_sync_rejects_larger_groups(self):
         with pytest.raises(ValueError):
@@ -90,7 +94,9 @@ class TestBuilderComponents:
         receipt = tx.commit()
         assert receipt.committed
         cluster.sim.run()
-        assert cluster.read("order", "o-1").fields["total"] == 1
+        assert cluster.read(
+            "order", "o-1", request=ReadRequest.strong()
+        ).value.fields["total"] == 1
         assert cluster.compensation.store is cluster.store
 
     def test_transactions_imply_a_store(self):
@@ -133,7 +139,7 @@ class TestBuilderComponents:
     def test_read_without_surface_raises(self):
         cluster = Cluster.build().create()
         with pytest.raises(RuntimeError):
-            cluster.read("order", "o-1")
+            cluster.read("order", "o-1", request=ReadRequest.strong())
 
 
 class TestLegacyConstructors:
@@ -158,9 +164,12 @@ class TestLegacyConstructors:
         )
         group.write_insert("order", "o-1", {"total": 4})
         sim.run(until=20.0)
-        # Three-positional form still addresses an explicit replica.
-        assert group.read("master", "order", "o-1").fields["total"] == 4
-        assert group.read("slave", "order", "o-1").fields["total"] == 4
+        # The three-positional form is gone: one node's raw state is
+        # that node's store.
+        with pytest.raises(TypeError):
+            group.read("slave", "order", "o-1")
+        assert group.master.store.get("order", "o-1").fields["total"] == 4
+        assert group.slaves["slave"].store.get("order", "o-1").fields["total"] == 4
 
 
 class TestReadProtocol:
@@ -175,33 +184,26 @@ class TestReadProtocol:
         # Before shipping: the master has it, the slave does not.
         assert cluster.read(
             "order", "o-1", request=ReadRequest.strong()
-        ).fields["total"] == 4
+        ).value.fields["total"] == 4
         assert cluster.read(
             "order", "o-1",
             request=ReadRequest(level=ConsistencyLevel.BOUNDED_STALENESS),
-        ).unwrap() is None
+        ).value is None
         cluster.sim.run(until=30.0)
         assert cluster.read(
             "order", "o-1",
             request=ReadRequest(level=ConsistencyLevel.BOUNDED_STALENESS),
-        ).fields["total"] == 4
+        ).value.fields["total"] == 4
 
     def test_store_implements_protocol(self):
         store = LSDBStore()
         store.insert("order", "o-1", {"total": 1})
-        assert isinstance(store, ReadSurface)
-        assert store.read("order", "o-1").fields["total"] == 1
+        result = store.read("order", "o-1", request=ReadRequest.strong())
+        assert result.value.fields["total"] == 1
         # The deprecated loose keyword finished its cycle: it now fails
         # like any unknown keyword instead of being quietly accepted.
         with pytest.raises(TypeError):
             store.read("order", "o-1", consistency=ConsistencyLevel.STRONG)
-
-    def test_read_from_falls_back_to_get(self):
-        class LegacySurface:
-            def get(self, entity_type, entity_key):
-                return (entity_type, entity_key)
-
-        assert read_from(LegacySurface(), "order", "o-1") == ("order", "o-1")
 
     def test_builder_round_trips_all_modes(self):
         for mode, count in (

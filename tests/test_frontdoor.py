@@ -341,7 +341,7 @@ class TestForCluster:
         )
         assert isinstance(result, ReadResult)
         assert result.delivered_level is ConsistencyLevel.STRONG
-        assert result.fields["total"] == 4
+        assert result.value.fields["total"] == 4
         assert cluster.front_door.reads == 1
 
     def test_crashed_master_degrades_to_replica(self):
@@ -352,4 +352,4 @@ class TestForCluster:
         result = cluster.read("order", "o-1", request=ReadRequest.strong())
         assert result.ok and result.degraded
         assert result.delivered_level is ConsistencyLevel.BOUNDED_STALENESS
-        assert result.fields["total"] == 4
+        assert result.value.fields["total"] == 4

@@ -225,7 +225,7 @@ class TestGeoReads:
             )
             assert isinstance(result, ReadResult)
             assert result.site == site  # served without crossing the WAN
-            assert result.fields["n"] == 7
+            assert result.value.fields["n"] == 7
 
     def test_remote_site_read_reports_the_serving_site(self):
         sim = Simulator(seed=1)
@@ -338,7 +338,7 @@ class TestClusterGeoApi:
 
         cluster = Cluster.build().with_replicas(2).create()
         with pytest.raises(ValueError, match="site="):
-            cluster.read("order", "k1", site="dc1")
+            cluster.read("order", "k1", request=ReadRequest.eventual(), site="dc1")
 
     def test_cluster_read_reports_serving_site(self):
         cluster = self._geo_cluster()
@@ -350,7 +350,7 @@ class TestClusterGeoApi:
             "order", "k1", request=ReadRequest.eventual(), site=home
         )
         assert result.site == home
-        assert result.fields["n"] == 3
+        assert result.value.fields["n"] == 3
 
     def test_sited_front_door_prefers_local_rungs(self):
         cluster = self._geo_cluster(site="dc2")
@@ -363,7 +363,7 @@ class TestClusterGeoApi:
                 level=ConsistencyLevel.BOUNDED_STALENESS, tenant="t1"
             ),
         )
-        assert result.ok and result.fields["n"] == 3
+        assert result.ok and result.value.fields["n"] == 3
         shard = cluster.placement.shard_of("order", "k1")
         if cluster.placement.hosts("dc2", shard):
             assert result.site == "dc2"

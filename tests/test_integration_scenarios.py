@@ -164,25 +164,25 @@ class TestMixedConsistencySingleInfrastructure:
         ))
         router.bind(ConsistencyLevel.STRONG, SchemeBinding(
             write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-            read=lambda etype, key: group.read("master", etype, key),
+            read=group.read,
         ))
         router.bind(ConsistencyLevel.BOUNDED_STALENESS, SchemeBinding(
             write=lambda etype, key, fields: group.write_insert(etype, key, fields),
-            read=lambda etype, key: group.read("slave", etype, key),
+            read=group.read,
         ))
         router.bind(ConsistencyLevel.EXTRACT, SchemeBinding(
             write=lambda *args: (_ for _ in ()).throw(RuntimeError("read-only")),
-            read=lambda etype, key: warehouse.get(etype, key),
+            read=warehouse.read,
         ))
 
         router.write("book_stock", "moby", {"copies": 5})
         # Strong read is immediately fresh:
-        assert router.read("book_stock", "moby").fields["copies"] == 5
+        assert router.read("book_stock", "moby").value.fields["copies"] == 5
         # Bounded-staleness read lags until shipping:
         router.write("book_order", "o1", {"status": "entered"})
-        assert router.read("book_order", "o1") is None
+        assert router.read("book_order", "o1").value is None
         sim.run(until=20.0)
-        assert router.read("book_order", "o1").fields["status"] == "entered"
+        assert router.read("book_order", "o1").value.fields["status"] == "entered"
         # Extract read lags until the next extract:
         assert router.routed[ConsistencyLevel.STRONG] == 2
 

@@ -6,6 +6,7 @@ import json
 import pathlib
 
 from repro import Cluster
+from repro.core.readpath import ReadRequest
 from repro.obs.export import render_timeline, trace_payload, validate_trace
 from repro.obs.trace import Tracer
 
@@ -112,7 +113,9 @@ class TestAsyncWriteJourney:
 
     def test_read_sees_the_write(self):
         cluster = self._traced_cluster()
-        assert cluster.read("order", "o-1").fields["total"] == 9
+        assert cluster.read(
+            "order", "o-1", request=ReadRequest.strong()
+        ).value.fields["total"] == 9
 
 
 class TestPartitionAndHeal:

@@ -13,7 +13,6 @@ from repro.core.readpath import (
     ReadResult,
     deliver,
     is_weaker,
-    read_from,
     replica_level,
 )
 from repro.lsdb.store import LSDBStore
@@ -73,22 +72,13 @@ class TestLevelOrdering:
         )
 
 
-class TestReadResultTransparency:
+class TestReadResultValue:
     def _state(self):
         store = LSDBStore()
         store.insert("order", "o-1", {"total": 7})
         return store.get("order", "o-1")
 
-    def test_attribute_forwarding(self):
-        result = ReadResult(
-            self._state(),
-            requested_level=ConsistencyLevel.STRONG,
-            delivered_level=ConsistencyLevel.STRONG,
-            staleness=0.0,
-        )
-        assert result.fields["total"] == 7  # forwarded to the EntityState
-
-    def test_unwrap_and_truthiness(self):
+    def test_value_and_truthiness(self):
         state = self._state()
         hit = ReadResult(
             state,
@@ -100,33 +90,21 @@ class TestReadResultTransparency:
             requested_level=ConsistencyLevel.STRONG,
             delivered_level=ConsistencyLevel.STRONG,
         )
-        assert hit.unwrap() is state
+        assert hit.value is state
         assert bool(hit) and not bool(miss)
         assert hit.ok and miss.ok  # ok = served, truthiness = found
 
-    def test_equality_compares_unwrapped(self):
+    def test_result_does_not_impersonate_its_value(self):
         state = self._state()
         result = ReadResult(
             state,
             requested_level=ConsistencyLevel.STRONG,
             delivered_level=ConsistencyLevel.STRONG,
         )
-        assert result == state
-        empty = ReadResult(
-            None,
-            requested_level=ConsistencyLevel.STRONG,
-            delivered_level=ConsistencyLevel.STRONG,
-        )
-        assert empty == None  # noqa: E711 - the point of the test
-
-    def test_missing_value_attribute_error(self):
-        empty = ReadResult(
-            None,
-            requested_level=ConsistencyLevel.STRONG,
-            delivered_level=ConsistencyLevel.STRONG,
-        )
+        assert result.value.fields["total"] == 7
         with pytest.raises(AttributeError):
-            empty.fields
+            result.fields
+        assert result != state
 
 
 class TestDeliver:
@@ -178,7 +156,7 @@ class TestTypedSchemeReads:
         result = group.read("order", "o-1", request=ReadRequest.strong())
         assert result.delivered_level is ConsistencyLevel.STRONG
         assert result.staleness == 0.0
-        assert result.fields["total"] == 4
+        assert result.value.fields["total"] == 4
 
     def test_weaker_reads_slave_with_measured_staleness(self):
         sim = Simulator(seed=1)
@@ -217,49 +195,6 @@ class TestTypedSchemeReads:
         # fails like any unknown keyword.
         with pytest.raises(TypeError):
             group.read("order", "o-1", consistency=ConsistencyLevel.STRONG)
-
-
-class TestReadFrom:
-    def test_request_none_returns_raw(self):
-        store = LSDBStore()
-        store.insert("order", "o-1", {"total": 1})
-        state = read_from(store, "order", "o-1")
-        assert not isinstance(state, ReadResult)
-        assert state.fields["total"] == 1
-
-    def test_typed_request_returns_result(self):
-        store = LSDBStore()
-        store.insert("order", "o-1", {"total": 1})
-        result = read_from(
-            store, "order", "o-1", request=ReadRequest.strong()
-        )
-        assert isinstance(result, ReadResult)
-        assert result.delivered_level is ConsistencyLevel.STRONG
-
-    def test_deprecated_consistency_kwarg_removed(self):
-        store = LSDBStore()
-        store.insert("order", "o-1", {"total": 1})
-        with pytest.raises(TypeError):
-            read_from(
-                store, "order", "o-1",
-                consistency=ConsistencyLevel.EVENTUAL,
-            )
-
-    def test_pre_typed_surface_falls_back(self):
-        class OldSurface:
-            def __init__(self):
-                self.store = LSDBStore()
-                self.store.insert("order", "o-1", {"total": 2})
-
-            def read(self, entity_type, entity_key):
-                return self.store.get(entity_type, entity_key)
-
-        result = read_from(
-            OldSurface(), "order", "o-1", request=ReadRequest.strong()
-        )
-        assert isinstance(result, ReadResult)
-        assert result.fields["total"] == 2
-        assert result.staleness is None  # surface could not measure it
 
 
 class TestQuorumTypedReads:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.merge.deltas import Delta
 from repro.core.policy import TimeoutPolicy
+from repro.core.readpath import ReadRequest
 from repro.replication.batching import BatchPolicy
 from repro.replication.active_active import ActiveActiveGroup
 from repro.replication.anti_entropy import AntiEntropy
@@ -134,7 +135,7 @@ class TestActiveActive:
         group.write_delta("r1", "stock", "w", Delta.add("n", 5))
         sim.run(until=30.0)
         assert group.is_converged()
-        assert group.read("r3", "stock", "w").fields["n"] == 5
+        assert group.replicas["r3"].store.get("stock", "w").fields["n"] == 5
 
     def test_concurrent_deltas_from_all_replicas_sum(self):
         sim, net = world()
@@ -143,7 +144,7 @@ class TestActiveActive:
             group.write_delta(replica_id, "stock", "w", Delta.add("n", 1))
         sim.run(until=60.0)
         assert group.is_converged()
-        assert group.read("r1", "stock", "w").fields["n"] == 3
+        assert group.replicas["r1"].store.get("stock", "w").fields["n"] == 3
 
     def test_available_and_divergent_under_partition(self):
         sim, net = world()
@@ -166,7 +167,7 @@ class TestActiveActive:
         net.heal()
         sim.run(until=100.0)
         assert group.is_converged()
-        assert group.read("r1", "stock", "w").fields["n"] == 3
+        assert group.replicas["r1"].store.get("stock", "w").fields["n"] == 3
 
     def test_without_anti_entropy_lost_messages_never_repair(self):
         sim, net = world()
@@ -185,7 +186,7 @@ class TestActiveActive:
         group.write_set_fields("r2", "doc", "d", {"title": "from-r2"})
         sim.run(until=100.0)
         assert group.is_converged()
-        assert group.read("r1", "doc", "d").fields["title"] == "from-r2"
+        assert group.replicas["r1"].store.get("doc", "d").fields["title"] == "from-r2"
 
     def test_group_requires_two_replicas(self):
         sim, net = world()
@@ -200,7 +201,9 @@ class TestQuorum:
         group.write("stock", "w", {"n": 7})
         sim.run()
         seen = []
-        group.read("stock", "w", on_done=lambda o: seen.append(o))
+        group.read(
+            "stock", "w", request=ReadRequest.strong(), on_done=seen.append
+        )
         sim.run()
         assert seen[0].ok and seen[0].value == {"n": 7}
 
@@ -237,7 +240,9 @@ class TestQuorum:
         # partially propagated write).
         group.replicas[0].store.set_fields("stock", "w", {"n": 2})
         seen = []
-        group.read("stock", "w", on_done=lambda o: seen.append(o))
+        group.read(
+            "stock", "w", request=ReadRequest.strong(), on_done=seen.append
+        )
         sim.run()
         assert seen[0].value == {"n": 2}
 
@@ -254,17 +259,17 @@ class TestMasterSlave:
             sim, net, "m", ["s1"], ship_interval=10.0, batching=BatchPolicy()
         )
         group.write_insert("stock", "b", {"copies": 5})
-        assert group.read("s1", "stock", "b") is None
+        assert group.slaves["s1"].store.get("stock", "b") is None
         assert group.slave_lag_events("s1") == 1
         sim.run(until=20.0)
-        assert group.read("s1", "stock", "b").fields["copies"] == 5
+        assert group.slaves["s1"].store.get("stock", "b").fields["copies"] == 5
         assert group.slave_lag_events("s1") == 0
 
     def test_master_reads_are_fresh(self):
         sim, net = world()
         group = MasterSlaveGroup(sim, net, "m", ["s1"])
         group.write_insert("stock", "b", {"copies": 5})
-        assert group.read("m", "stock", "b").fields["copies"] == 5
+        assert group.master.store.get("stock", "b").fields["copies"] == 5
 
     def test_slave_rejects_updates(self):
         from repro.errors import NotMaster
@@ -282,8 +287,8 @@ class TestMasterSlave:
         )
         group.write_delta("stock", "b", Delta.add("copies", 3))
         sim.run(until=20.0)
-        assert group.read("s1", "stock", "b").fields["copies"] == 3
-        assert group.read("s2", "stock", "b").fields["copies"] == 3
+        assert group.slaves["s1"].store.get("stock", "b").fields["copies"] == 3
+        assert group.slaves["s2"].store.get("stock", "b").fields["copies"] == 3
 
 
 class TestWarehouse:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.readpath import ReadRequest
 from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.replication.quorum import QuorumGroup
@@ -31,7 +32,7 @@ class TestReadRepair:
 
     def test_stale_replica_healed_after_read(self):
         sim, group = self._group_with_stale_replica()
-        group.read("stock", "w")
+        group.read("stock", "w", request=ReadRequest.strong())
         sim.run()
         assert group.read_repairs_sent == 1
         # The straggler now holds the freshest value.
@@ -39,14 +40,14 @@ class TestReadRepair:
 
     def test_repair_can_be_disabled(self):
         sim, group = self._group_with_stale_replica(read_repair=False)
-        group.read("stock", "w")
+        group.read("stock", "w", request=ReadRequest.strong())
         sim.run()
         assert group.read_repairs_sent == 0
         assert group.replicas[2].store.get("stock", "w").fields["n"] == 1
 
     def test_repair_is_tagged_and_not_reapplied(self):
         sim, group = self._group_with_stale_replica()
-        group.read("stock", "w")
+        group.read("stock", "w", request=ReadRequest.strong())
         sim.run()
         repaired_events = [
             event
@@ -55,21 +56,23 @@ class TestReadRepair:
         ]
         assert len(repaired_events) == 1
         # A second read finds everyone fresh: no more repairs.
-        group.read("stock", "w")
+        group.read("stock", "w", request=ReadRequest.strong())
         sim.run()
         assert group.read_repairs_sent == 1
 
     def test_up_to_date_replicas_not_touched(self):
         sim, group = self._group_with_stale_replica()
         head_before = group.replicas[0].store.log.head_lsn
-        group.read("stock", "w")
+        group.read("stock", "w", request=ReadRequest.strong())
         sim.run()
         assert group.replicas[0].store.log.head_lsn == head_before
 
     def test_read_value_unaffected_by_repair(self):
         sim, group = self._group_with_stale_replica()
         seen = []
-        group.read("stock", "w", on_done=lambda o: seen.append(o))
+        group.read(
+            "stock", "w", request=ReadRequest.strong(), on_done=seen.append
+        )
         sim.run()
         assert seen[0].value == {"n": 2}
 
