@@ -351,28 +351,7 @@ class LSDBStore:
         this in bulk ingestion loops where the caller does not look at
         the stored record.
         """
-        if self.tracer is not None:
-            return self._append_local(
-                entity_type, entity_key, kind, payload, tx_id, tags
-            ).lsn
-        self._origin_seq += 1
-        schema_version = (
-            self.schema_version_source(entity_type)
-            if self.schema_version_source is not None
-            else 1
-        )
-        row = self.log.append_row(
-            self._clock(),
-            entity_type,
-            entity_key,
-            kind,
-            payload,
-            self.origin,
-            self._origin_seq,
-            tx_id,
-            schema_version,
-            frozenset(tags) if tags else _EMPTY_TAGS,
-        )
+        row = self._append_row(entity_type, entity_key, kind, payload, tx_id, tags)
         return self.log.arena.lsns[row]
 
     def _append_local(
@@ -384,61 +363,54 @@ class LSDBStore:
         tx_id: str,
         tags: Iterable[str],
     ) -> LogEvent:
-        tracer = self.tracer
-        if tracer is None:
-            # Untraced fast path: write columns directly, materialize
-            # the stored event once for the API-boundary return value.
-            self._origin_seq += 1
-            schema_version = (
-                self.schema_version_source(entity_type)
-                if self.schema_version_source is not None
-                else 1
-            )
-            row = self.log.append_row(
-                self._clock(),
-                entity_type,
-                entity_key,
-                kind,
-                payload,
-                self.origin,
-                self._origin_seq,
-                tx_id,
-                schema_version,
-                frozenset(tags) if tags else _EMPTY_TAGS,
-            )
-            return self.log.arena.event_at(row)
+        row = self._append_row(entity_type, entity_key, kind, payload, tx_id, tags)
+        return self.log.arena.event_at(row)
+
+    def _append_row(
+        self,
+        entity_type: str,
+        entity_key: str,
+        kind: EventKind,
+        payload: dict[str, Any],
+        tx_id: str,
+        tags: Iterable[str],
+    ) -> int:
+        """The one local write path: columns go straight into the arena
+        via :meth:`AppendOnlyLog.append_row`.  Returns the arena row.
+
+        With a tracer the append runs inside a ``store.append`` span
+        whose ids are stored on the row, so the span travels with the
+        event through replication.
+        """
         self._origin_seq += 1
+        origin_seq = self._origin_seq
         schema_version = (
             self.schema_version_source(entity_type)
             if self.schema_version_source is not None
             else 1
         )
+        tags = frozenset(tags) if tags else _EMPTY_TAGS
+        tracer = self.tracer
+        if tracer is None:
+            return self.log.append_row(
+                self._clock(), entity_type, entity_key, kind, payload,
+                self.origin, origin_seq, tx_id, schema_version, tags,
+            )
         span = tracer.start_span(
             "store.append",
             node=self.origin,
             entity=f"{entity_type}/{entity_key}",
             kind=kind.value,
         )
-        event = LogEvent(
-            lsn=0,
-            timestamp=self._clock(),
-            entity_type=entity_type,
-            entity_key=entity_key,
-            kind=kind,
-            payload=payload,
-            origin=self.origin,
-            origin_seq=self._origin_seq,
-            tx_id=tx_id,
-            schema_version=schema_version,
-            tags=frozenset(tags),
-            trace_id=span.trace_id,
-            span_id=span.span_id,
-        )
-        self._span_by_identity[event.identity] = span.span_id
+        self._span_by_identity[(self.origin, origin_seq)] = span.span_id
         with tracer.resume(span.span_id):
-            stored = self.log.append(event)
-        tracer.end_span(span, lsn=stored.lsn)
-        return stored
+            row = self.log.append_row(
+                self._clock(), entity_type, entity_key, kind, payload,
+                self.origin, origin_seq, tx_id, schema_version, tags,
+                span.trace_id, span.span_id,
+            )
+        tracer.end_span(span, lsn=self.log.arena.lsns[row])
+        return row
 
     # ------------------------------------------------------------------ #
     # Remote application (replication / at-least-once delivery)
@@ -502,56 +474,19 @@ class LSDBStore:
         self._drain_buffer(event.origin)
         return True
 
-    def apply_remote_batch(self, events: list[LogEvent]) -> int:
-        """Apply a frame of remote events, amortising the apply prologue.
-
-        Frames ship contiguous runs, so instead of paying the
-        duplicate/gap checks per event this validates a run's head
-        against the version vector once and appends the rest of the run
-        in a tight loop (the vector advances with every append, keeping
-        the invariant intact).  Events that are *not* the next expected
-        sequence — duplicates, gaps, interleaved origins — fall back to
-        :meth:`apply_remote` individually, so the semantics are
-        identical to applying the frame event by event.
+    def apply_remote_batch(self, events: Iterable[LogEvent]) -> int:
+        """Apply several remote events in order, each through
+        :meth:`apply_remote`.
 
         Returns:
             How many events were appended now (buffered or duplicate
             events are not counted, matching :meth:`apply_remote`).
         """
-        if self.tracer is not None:
-            return sum(1 for event in events if self.apply_remote(event))
-        applied = 0
-        vector = self.version_vector
-        log_append = self.log.append
-        position = 0
-        count = len(events)
-        while position < count:
-            event = events[position]
-            origin = event.origin
-            if event.origin_seq != vector.get(origin) + 1:
-                if self.apply_remote(event):
-                    applied += 1
-                position += 1
-                continue
-            expected = event.origin_seq
-            run_end = position
-            while run_end < count:
-                event = events[run_end]
-                if event.origin != origin or event.origin_seq != expected:
-                    break
-                log_append(event)
-                expected += 1
-                run_end += 1
-            applied += run_end - position
-            position = run_end
-            if self._reorder_buffer.get(origin):
-                self._drain_buffer(origin)
-        return applied
+        return sum(1 for event in events if self.apply_remote(event))
 
     def apply_remote_frame(self, frame: ColumnFrame) -> int:
-        """Apply a :class:`ColumnFrame` of remote events — the columnar
-        twin of :meth:`apply_remote_batch`, without materializing
-        :class:`LogEvent` objects for in-order runs.
+        """Apply a :class:`ColumnFrame` of remote events without
+        materializing :class:`LogEvent` objects for in-order runs.
 
         Origins come out of the frame's dictionary in one bulk pass
         (one list-index per event — no per-event identity tuples or

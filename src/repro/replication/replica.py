@@ -5,9 +5,11 @@ block: a :class:`ReplicaNode` owning a local
 :class:`~repro.lsdb.store.LSDBStore` whose events carry the replica's
 identity.  The node speaks a two-message protocol:
 
-* ``{"type": "events", "events": [...]}`` — apply remote events
-  (idempotently, in per-origin order; duplicates from at-least-once
-  shipping are rejected by the store).
+* ``{"type": "events", "events": [event]}`` or ``{"type": "events",
+  "frame": ColumnFrame}`` — apply remote events: one event, or a
+  contiguous run of the sender's arena rows (idempotently, in per-origin
+  order; duplicates from at-least-once shipping are rejected by the
+  store).  Traced senders add ``"ctx"``, the per-event ship-span map.
 * ``{"type": "vv", "vector": {...}, "reply_to": id}`` — anti-entropy
   probe: compare the sender's version vector with ours and ship back
   whatever the sender is missing.
@@ -22,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Optional
 
 from repro.lsdb.columnar import ColumnFrame, EventSlice
-from repro.lsdb.events import LogEvent
 from repro.lsdb.store import LSDBStore
 from repro.merge.clock import VersionVector
 from repro.replication.batching import BatchPolicy, FrameShipper
@@ -89,45 +90,35 @@ class ReplicaNode(Node):
     def handle_message(self, source: str, message: Mapping[str, Any]) -> None:
         kind = message.get("type")
         if kind == "events":
-            # ``ctx`` maps "origin:seq" to the per-event ship span opened
-            # by the sender; arriving here is what closes that span, and
-            # the apply span chains onto it (the causal hop).
-            ctx = message.get("ctx")
             tracer = self.store.tracer
             frame = message.get("frame")
-            if frame is not None:
+            if frame is not None and tracer is None:
                 # Columnar frame: decode straight into the local arena —
                 # one dictionary lookup per distinct string in the frame
                 # tables, not one per event.
                 applied = self.store.apply_remote_frame(frame)
-                if applied:
-                    self.events_received += applied
-                    if self._m_received is not None:
-                        self._m_received.inc(applied)
-                return
-            events = message.get("events", ())
-            if ctx is None and tracer is None and len(events) > 1:
-                # Untraced multi-event frame: the store's batch apply
-                # validates whole contiguous runs at once instead of
-                # paying the per-event apply prologue.
-                applied = self.store.apply_remote_batch(events)
-                if applied:
-                    self.events_received += applied
-                    if self._m_received is not None:
-                        self._m_received.inc(applied)
-                return
-            for event in events:
-                ship_id = None
-                if ctx is not None:
-                    ship_id = ctx.get(f"{event.origin}:{event.origin_seq}")
-                if ship_id is not None and tracer is not None:
-                    ship_span = tracer.get(ship_id)
-                    if ship_span is not None:
-                        tracer.end_span(ship_span, status="delivered")
-                if self.store.apply_remote(event, parent_span=ship_id):
-                    self.events_received += 1
-                    if self._m_received is not None:
-                        self._m_received.inc()
+            else:
+                # A single event, or any traced message.  ``ctx`` maps
+                # "origin:seq" to the per-event ship span opened by the
+                # sender; arriving here is what closes that span, and the
+                # apply span chains onto it (the causal hop).
+                ctx = message.get("ctx") if tracer is not None else None
+                applied = 0
+                for event in (
+                    frame.events() if frame is not None else message["events"]
+                ):
+                    ship_id = None
+                    if ctx is not None:
+                        ship_id = ctx.get(f"{event.origin}:{event.origin_seq}")
+                        ship_span = tracer.get(ship_id) if ship_id else None
+                        if ship_span is not None:
+                            tracer.end_span(ship_span, status="delivered")
+                    if self.store.apply_remote(event, parent_span=ship_id):
+                        applied += 1
+            if applied:
+                self.events_received += applied
+                if self._m_received is not None:
+                    self._m_received.inc(applied)
         elif kind == "vv":
             self._answer_probe(source, message)
         elif kind == "bootstrap":
@@ -147,9 +138,8 @@ class ReplicaNode(Node):
     def _answer_probe(self, source: str, message: Mapping[str, Any]) -> None:
         remote_vector = VersionVector(message.get("vector", {}))
         # Per-origin repair feeds all come from our own arena, so the
-        # gaps concatenate into one slice (no materialization).  The
-        # combined slice chunks into exactly the frame boundaries the
-        # old concatenated event list produced.
+        # gaps concatenate into one slice (no materialization) and ship
+        # through the same chunker as first-time shipping.
         rows: list[int] = []
         for origin, have in remote_vector.missing_from(self.store.version_vector).items():
             # ``have`` is (their_count, my_count): ship the gap.
@@ -165,68 +155,56 @@ class ReplicaNode(Node):
     # Propagation helpers
     # ------------------------------------------------------------------ #
 
-    def ship_events(
-        self, destination: str, events: "list[LogEvent] | EventSlice"
-    ) -> bool:
-        """Ship a run of events to one peer as wire frames (best-effort).
+    def ship_events(self, destination: str, events: EventSlice) -> bool:
+        """Ship a run of this node's arena rows to one peer (best-effort).
 
-        An untraced :class:`EventSlice` run ships multi-event chunks as
-        zero-copy :class:`ColumnFrame` messages (one dictionary lookup
-        per distinct string per frame); everything else — traced runs,
-        plain lists, single-event chunks — keeps the per-event message
-        shape.  The run is cut into LSN-contiguous frames by this node's
+        The run is cut into contiguous frames by this node's
         :class:`~repro.replication.batching.BatchPolicy` — one network
         frame (one latency draw, one loss coin) per chunk, with the
-        unbatched default degenerating to one event per frame.  Returns
-        ``True`` only when every frame was accepted; callers treat a
-        ``False`` as "re-ship the whole run later", which idempotent
-        apply makes safe.
+        unbatched default degenerating to one event per frame.  A
+        one-event chunk ships as ``{"events": [event]}``; a longer one
+        as a zero-copy :class:`ColumnFrame` (one dictionary lookup per
+        distinct string per frame).  Single events keep the object
+        shape because it measured faster end to end than size-1 frames.
+        Returns ``True`` only when every frame was accepted; callers
+        treat a ``False`` as "re-ship the whole run later", which
+        idempotent apply makes safe.
 
-        With tracing on, each traced event gets a ``replicate.ship``
-        span parented on its append span; the span ids ride along in
-        the frame's ``ctx`` and are closed by the receiver.  A frame
-        that never arrives leaves its ship spans open — the timeline's
-        way of showing a lost replication hop.
+        With tracing on, the same messages also carry ``ctx``: each
+        traced row gets a ``replicate.ship`` span parented on its append
+        span, and the receiver closes it.  A frame that never arrives
+        leaves its ship spans open — the timeline's way of showing a
+        lost replication hop.
         """
-        if not events:
-            return True
         tracer = self.store.tracer
         shipped_all = True
-        if tracer is None and isinstance(events, EventSlice):
-            # Columnar fast path: cut the slice into the same contiguous
-            # runs ``chunk`` would produce, but ship multi-event runs as
-            # :class:`ColumnFrame` codecs built straight from the arena
-            # columns.  Single-event runs keep the legacy message shape
-            # so the degenerate unbatched wire model is unchanged.
-            for chunk in self.batching.chunk_rows(events):
-                size = len(chunk)
-                if size == 1:
-                    message = {"type": "events", "events": [chunk[0]]}
-                else:
-                    message = {"type": "events", "frame": ColumnFrame.from_slice(chunk)}
-                if not self.send_batch(destination, [message], size=size):
-                    shipped_all = False
-            return shipped_all
-        for chunk in self.batching.chunk(events):
-            message: dict[str, Any] = {"type": "events", "events": chunk}
+        for chunk in self.batching.chunk_rows(events):
+            size = len(chunk)
+            if size == 1:
+                message = {"type": "events", "events": [chunk[0]]}
+            else:
+                message = {"type": "events", "frame": ColumnFrame.from_slice(chunk)}
             if tracer is not None:
+                arena = chunk.arena
                 ctx: dict[str, str] = {}
-                for event in chunk:
-                    if event.span_id:
+                for row in chunk.rows:
+                    append_span = arena.span_ids.get(row)
+                    if append_span:
                         span = tracer.start_span(
                             "replicate.ship",
-                            parent=event.span_id,
+                            parent=append_span,
                             node=self.node_id,
                             dst=destination,
                         )
-                        ctx[f"{event.origin}:{event.origin_seq}"] = span.span_id
+                        origin, seq = arena.identity_at(row)
+                        ctx[f"{origin}:{seq}"] = span.span_id
                 if ctx:
                     message["ctx"] = ctx
-            if not self.send_batch(destination, [message], size=len(chunk)):
+            if not self.send_batch(destination, [message], size=size):
                 shipped_all = False
         return shipped_all
 
-    def offer_events(self, destination: str, events: list[LogEvent]) -> None:
+    def offer_events(self, destination: str, events: EventSlice) -> None:
         """Eager-shipping entry point: coalesce when a flush timer is
         configured, ship immediately otherwise."""
         if self.shipper is not None:

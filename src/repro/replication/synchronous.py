@@ -61,8 +61,7 @@ class _SyncBackup(ReplicaNode):
 
     def handle_extra_message(self, source: str, message: Mapping[str, Any]) -> None:
         if message.get("type") == "replicate":
-            for event in message.get("events", ()):
-                self.store.apply_remote(event)
+            self.store.apply_remote_batch(message.get("events", ()))
             self.send(source, {"type": "replication-ack", "tx": message.get("tx")})
 
 

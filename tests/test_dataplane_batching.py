@@ -14,7 +14,9 @@ import json
 
 import pytest
 
+from repro.lsdb.columnar import EventColumns, EventSlice
 from repro.lsdb.events import EventKind, LogEvent
+from repro.lsdb.store import LSDBStore
 from repro.merge.deltas import Delta
 from repro.replication.asynchronous import AsyncPrimaryBackup
 from repro.replication.batching import BatchPolicy, FrameShipper
@@ -52,38 +54,53 @@ class Recorder(Node):
         self.messages.append((source, message))
 
 
+def make_slice(events: list[LogEvent]) -> EventSlice:
+    """The events as rows of a fresh arena, keeping their LSNs."""
+    arena = EventColumns()
+    return EventSlice(arena, [arena.append_event(e, e.lsn) for e in events])
+
+
 class TestBatchPolicy:
     def test_default_is_one_event_per_frame(self):
-        events = make_events(5)
-        chunks = list(BatchPolicy().chunk(events))
+        chunks = list(BatchPolicy().chunk_rows(make_slice(make_events(5))))
         assert [len(chunk) for chunk in chunks] == [1, 1, 1, 1, 1]
 
     def test_max_batch_splits_contiguous_runs(self):
-        events = make_events(10)
-        chunks = list(BatchPolicy(max_batch=4).chunk(events))
+        view = make_slice(make_events(10))
+        chunks = list(BatchPolicy(max_batch=4).chunk_rows(view))
         assert [len(chunk) for chunk in chunks] == [4, 4, 2]
         assert [event.lsn for event in chunks[0]] == [1, 2, 3, 4]
 
     def test_frames_never_span_lsn_gaps(self):
-        events = make_events(3) + make_events(3, start_lsn=10)
-        chunks = list(BatchPolicy(max_batch=100).chunk(events))
+        view = make_slice(make_events(3) + make_events(3, start_lsn=10))
+        chunks = list(BatchPolicy(max_batch=100).chunk_rows(view))
         # origin_seq restarts make the second run non-successive too.
         assert len(chunks) >= 2
         for chunk in chunks:
             lsns = [event.lsn for event in chunk]
             assert lsns == list(range(lsns[0], lsns[0] + len(lsns)))
 
-    def test_unappended_events_chunk_by_origin_seq(self):
-        # lsn=0 (not yet appended locally) falls back to origin_seq
-        # contiguity — anti-entropy ships such runs.
-        events = [
-            LogEvent(lsn=0, timestamp=0.0, entity_type="t", entity_key="k",
-                     kind=EventKind.INSERT, payload={}, origin="o",
-                     origin_seq=seq)
-            for seq in (1, 2, 3, 7, 8)
-        ]
-        chunks = list(BatchPolicy(max_batch=100).chunk(events))
-        assert [len(chunk) for chunk in chunks] == [3, 2]
+    def test_per_origin_feed_chunks_by_origin_seq(self):
+        # Remote events interleaved with local writes: the per-origin
+        # feed anti-entropy ships has LSN gaps, but its origin_seqs run
+        # on, so it is still one contiguous frame.
+        store = LSDBStore(origin="s")
+        for seq in (1, 2, 3):
+            store.insert("t", f"local{seq}", {})
+            store.apply_remote(
+                LogEvent(lsn=seq, timestamp=0.0, entity_type="t",
+                         entity_key="k", kind=EventKind.DELTA,
+                         payload={"v": 1}, origin="o", origin_seq=seq)
+            )
+        remote = store.events_from_origin("o", 0)
+        assert [remote.lsn_at(i) for i in range(3)] == [2, 4, 6]
+        policy = BatchPolicy(max_batch=100)
+        assert [len(chunk) for chunk in policy.chunk_rows(remote)] == [3]
+        # Concatenated feeds (an anti-entropy repair) split where the
+        # origin changes and the LSNs do not continue.
+        local = store.events_from_origin("s", 0)
+        both = EventSlice(store.log.arena, list(remote.rows) + list(local.rows))
+        assert [len(chunk) for chunk in policy.chunk_rows(both)] == [3, 3]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -175,10 +192,9 @@ class TestFrameShipper:
         sink = net.register(ReplicaNode("dst", sim))
         shipper = source.shipper
         assert isinstance(shipper, FrameShipper)
-        events = [
-            source.store.insert("acct", f"a{i}", {"bal": i}) for i in range(3)
-        ]
-        shipper.offer("dst", events)
+        for i in range(3):
+            source.store.insert("acct", f"a{i}", {"bal": i})
+        shipper.offer("dst", source.store.events_since(0))
         assert shipper.pending("dst") == 0  # size trigger flushed eagerly
         sim.run(until=5.0)
         assert sink.events_received == 3
@@ -194,8 +210,8 @@ class TestFrameShipper:
         )
         sink = net.register(ReplicaNode("dst", sim))
         shipper = source.shipper
-        event = source.store.insert("acct", "a", {"bal": 1})
-        shipper.offer("dst", [event])
+        source.store.insert("acct", "a", {"bal": 1})
+        shipper.offer("dst", source.store.events_since(0))
         assert shipper.pending("dst") == 1
         sim.run(until=3.0)
         assert sink.events_received == 0  # still buffered
@@ -352,3 +368,77 @@ class TestSchemeKnobs:
             .create()
         )
         assert cluster.replication.batching.max_batch == 4
+
+
+class TestTracedShippingParity:
+    """Tracing rides on the data plane; it must not change it."""
+
+    @staticmethod
+    def _run(traced: bool):
+        from repro import Cluster
+
+        builder = (
+            Cluster.build(seed=16)
+            .with_network(latency=2.0)
+            .with_replicas(3, mode="master_slave", ship_interval=10.0)
+            .with_batching(max_batch=8)
+        )
+        if traced:
+            builder = builder.with_tracing()
+        cluster = builder.create()
+        shapes = []
+        for node_id, node in cluster.network.nodes.items():
+
+            def recorded(source, message, handle=node.handle_message, dst=node_id):
+                frame = message.get("frame")
+                size = (
+                    len(frame) if frame is not None
+                    else len(message.get("events", ()))
+                )
+                keys = tuple(sorted(key for key in message if key != "ctx"))
+                shapes.append((cluster.sim.now, source, dst, keys, size))
+                return handle(source, message)
+
+            node.handle_message = recorded
+        group = cluster.replication
+        for index in range(60):
+            # Bursts of writes between ship rounds, then lone writes:
+            # both multi-event frames and single events go on the wire.
+            at = float(index) if index < 40 else 40.0 + 15.0 * (index - 40)
+            cluster.sim.schedule_at(
+                at,
+                lambda i=index: group.write_delta(
+                    "acct", f"k{i % 7}", Delta.add("bal", i)
+                ),
+                label="write",
+            )
+        cluster.sim.run(until=400.0)
+        state = {
+            node_id: (node.observable_state(), node.store.version_vector.to_dict())
+            for node_id, node in cluster.network.nodes.items()
+        }
+        return cluster, shapes, state
+
+    def test_traced_and_untraced_runs_ship_the_same_messages(self):
+        _, untraced_shapes, untraced_state = self._run(traced=False)
+        cluster, traced_shapes, traced_state = self._run(traced=True)
+        assert any("frame" in shape[3] for shape in traced_shapes)
+        assert any(
+            "events" in shape[3] and shape[4] == 1 for shape in traced_shapes
+        )
+        assert traced_shapes == untraced_shapes
+        assert traced_state == untraced_state
+
+        tracer = cluster.tracer
+        delivered = [
+            span for span in tracer.spans
+            if span.name == "replicate.ship"
+            and span.attrs.get("status") == "delivered"
+        ]
+        assert delivered
+        for ship in delivered:
+            applies = [
+                child for child in tracer.children_of(ship)
+                if child.name == "store.apply"
+            ]
+            assert len(applies) == 1, ship

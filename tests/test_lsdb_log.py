@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReproError
+from repro.lsdb.columnar import ColumnFrame
 from repro.lsdb.events import EventKind, LogEvent
 from repro.lsdb.log import AppendOnlyLog
 
@@ -41,12 +42,23 @@ class TestAppend:
         assert log.tail_lsn == 1
 
     def test_subscribers_see_every_append(self):
+        # Every append path notifies, in LSN order: object and row
+        # appends per row, a bulk frame apply once for its whole slice.
+        source = AppendOnlyLog()
+        for _ in range(2):
+            source.append(make_event())
+        frame = ColumnFrame.from_slice(source.events())
         log = AppendOnlyLog()
         seen = []
-        log.subscribe(lambda event: seen.append(event.lsn))
+        log.subscribe_columnar(
+            lambda cols, row: seen.append(cols.lsns[row]),
+            lambda view: seen.extend(view.lsn_at(i) for i in range(len(view))),
+        )
         log.append(make_event())
+        log.append_row(0.0, "t", "k", EventKind.INSERT, {})
+        log.extend_frame(frame, 0, len(frame))
         log.append(make_event())
-        assert seen == [1, 2]
+        assert seen == [1, 2, 3, 4, 5]
 
 
 class TestReading:
